@@ -1,6 +1,7 @@
 //! Display frames: damage rectangles plus their pixels.
 //!
-//! Wire layout (big-endian, checksum trailer — see [`crate::wire`]):
+//! Wire layout, protocol version 2 (big-endian, checksum trailer — see
+//! [`crate::wire`]):
 //!
 //! ```text
 //! "WFRM"  u32 version  u64 seq  u32 width  u32 height  u8 full
@@ -9,13 +10,28 @@
 //! u32 fnv1a-checksum
 //! ```
 //!
-//! `encoding` 0 carries `w*h` raw `u32` pixels; encoding 1 carries
-//! `u32 nruns` then `nruns × {u32 count, u32 pixel}` run-length pairs
-//! whose counts must sum to exactly `w*h`. The builder picks whichever
-//! is strictly smaller (raw wins ties), so the same framebuffer and
-//! damage always produce the same bytes — the canonical-codec property
-//! the test suite pins: `encode ∘ decode` is the identity in both
-//! directions.
+//! `encoding` 0 carries `w*h` raw `u32` pixels. Encoding 1 carries
+//! palette-indexed runs:
+//!
+//! ```text
+//! varint npal    npal × u32 colour            (first-use order)
+//! varint nruns   nruns × varint(((count-1) << bits) | index)
+//! ```
+//!
+//! where `bits = ⌈log2 npal⌉` and the counts sum to exactly `w*h`.
+//! Widget rects hold a handful of colours (background, border, text),
+//! so a run usually costs one or two bytes instead of eight. Varints are
+//! unsigned LEB128 (see [`Writer::put_varint`]).
+//!
+//! The builder keeps whichever encoding is strictly smaller (raw wins
+//! ties), and the decoder accepts only the one form the encoder
+//! writes: shortest varints, palette entries distinct, each used, and
+//! introduced in the order the runs first use them. So the same
+//! framebuffer and damage always produce the same bytes, and
+//! `encode ∘ decode` is the identity in both directions — the
+//! canonical-codec property the test suite pins.
+
+use std::collections::{HashMap, HashSet};
 
 use wafe_xproto::damage::Damage;
 use wafe_xproto::framebuffer::Framebuffer;
@@ -27,15 +43,18 @@ use crate::wire::{DecodeError, Reader, Writer};
 /// Leading tag of a frame message.
 pub const FRAME_MAGIC: [u8; 4] = *b"WFRM";
 /// The protocol version this codec speaks.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
+
+/// Largest screen side a frame may describe.
+const MAX_SIDE: u32 = 16_384;
 
 /// How a rectangle's pixels are carried.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PixelData {
     /// Row-major pixels, one `u32` each.
     Raw(Vec<Pixel>),
-    /// Run-length pairs `(count, pixel)`; counts sum to the rect area.
-    Rle(Vec<(u32, Pixel)>),
+    /// Palette-indexed runs; counts sum to the rect area.
+    Rle(PaletteRuns),
 }
 
 impl PixelData {
@@ -43,7 +62,7 @@ impl PixelData {
     pub fn pixel_count(&self) -> u64 {
         match self {
             PixelData::Raw(p) => p.len() as u64,
-            PixelData::Rle(runs) => runs.iter().map(|(n, _)| *n as u64).sum(),
+            PixelData::Rle(runs) => runs.runs.iter().map(|&(n, _)| n as u64).sum(),
         }
     }
 
@@ -53,8 +72,8 @@ impl PixelData {
             PixelData::Raw(p) => p.clone(),
             PixelData::Rle(runs) => {
                 let mut out = Vec::with_capacity(self.pixel_count() as usize);
-                for (n, p) in runs {
-                    out.extend(std::iter::repeat_n(*p, *n as usize));
+                for &(n, i) in &runs.runs {
+                    out.extend(std::iter::repeat_n(runs.palette[i as usize], n as usize));
                 }
                 out
             }
@@ -65,9 +84,158 @@ impl PixelData {
     fn encoded_len(&self) -> usize {
         match self {
             PixelData::Raw(p) => 4 * p.len(),
-            PixelData::Rle(runs) => 4 + 8 * runs.len(),
+            PixelData::Rle(runs) => runs.len,
         }
     }
+}
+
+/// A rect's pixels as runs over a palette of its distinct colours.
+///
+/// The fields are private: every value comes from [`from_pixels`],
+/// [`from_runs`] or the decoder, all of which build the palette in
+/// first-use order, so every value encodes canonically.
+///
+/// [`from_pixels`]: PaletteRuns::from_pixels
+/// [`from_runs`]: PaletteRuns::from_runs
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PaletteRuns {
+    /// Distinct colours, in the order the runs first use them.
+    palette: Vec<Pixel>,
+    /// `(count, palette index)` per run; every count is at least 1.
+    runs: Vec<(u32, u32)>,
+    /// Encoded payload size, computed once at construction.
+    len: usize,
+}
+
+impl PaletteRuns {
+    /// Maximal runs over a row-major pixel sequence.
+    pub fn from_pixels(pixels: &[Pixel]) -> PaletteRuns {
+        PaletteRuns::from_runs(
+            pixels
+                .chunk_by(|a, b| a == b)
+                .map(|c| (c.len() as u32, c[0])),
+        )
+    }
+
+    /// Runs as given, `(count, pixel)` each, with the palette built in
+    /// the same pass. Adjacent runs of one colour are kept apart.
+    ///
+    /// # Panics
+    ///
+    /// On a zero count, which the encoding cannot express.
+    pub fn from_runs(runs: impl IntoIterator<Item = (u32, Pixel)>) -> PaletteRuns {
+        let mut palette: Vec<Pixel> = Vec::new();
+        let mut index: HashMap<Pixel, u32> = HashMap::new();
+        let runs: Vec<(u32, u32)> = runs
+            .into_iter()
+            .map(|(n, p)| {
+                assert!(n > 0, "a run covers at least one pixel");
+                let next = palette.len() as u32;
+                let i = *index.entry(p).or_insert(next);
+                if i == next {
+                    palette.push(p);
+                }
+                (n, i)
+            })
+            .collect();
+        let len = payload_len(&palette, &runs);
+        PaletteRuns { palette, runs, len }
+    }
+
+    /// The distinct colours, in first-use order.
+    pub fn palette(&self) -> &[Pixel] {
+        &self.palette
+    }
+
+    /// `(count, palette index)` per run.
+    pub fn runs(&self) -> &[(u32, u32)] {
+        &self.runs
+    }
+
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(self.palette.len() as u64);
+        for &p in &self.palette {
+            w.put_u32(p);
+        }
+        let bits = index_bits(self.palette.len());
+        w.put_varint(self.runs.len() as u64);
+        for &(n, i) in &self.runs {
+            w.put_varint(run_code(n, i, bits));
+        }
+    }
+
+    /// Reads an encoding-1 payload for a rect of `area` pixels,
+    /// rejecting every form the encoder would not have written.
+    fn decode(r: &mut Reader<'_>, area: u64) -> Result<PaletteRuns, DecodeError> {
+        let npal = r.varint()?;
+        let cap = (npal as usize).min(r.remaining() / 4);
+        let mut palette = Vec::with_capacity(cap);
+        let mut seen = HashSet::with_capacity(cap);
+        for _ in 0..npal {
+            let c = r.u32()?;
+            if !seen.insert(c) {
+                return Err(DecodeError::BadValue("duplicate palette entry"));
+            }
+            palette.push(c);
+        }
+        let nruns = r.varint()?;
+        let bits = index_bits(palette.len());
+        let mut runs = Vec::with_capacity((nruns as usize).min(r.remaining()));
+        let mut used: u32 = 0;
+        let mut covered: u64 = 0;
+        for _ in 0..nruns {
+            let code = r.varint()?;
+            let i = (code & ((1u64 << bits) - 1)) as u32;
+            if i as u64 >= npal {
+                return Err(DecodeError::BadValue("palette index"));
+            }
+            if i > used {
+                return Err(DecodeError::BadValue("palette order"));
+            }
+            if i == used {
+                used += 1;
+            }
+            let more = code >> bits;
+            if more >= area - covered {
+                return Err(DecodeError::BadValue("run past area"));
+            }
+            covered += more + 1;
+            runs.push((more as u32 + 1, i));
+        }
+        if covered != area {
+            return Err(DecodeError::BadValue("run coverage"));
+        }
+        if used as u64 != npal {
+            return Err(DecodeError::BadValue("unused palette entry"));
+        }
+        let len = payload_len(&palette, &runs);
+        Ok(PaletteRuns { palette, runs, len })
+    }
+}
+
+/// Index width for a palette of `npal` colours: `⌈log2 npal⌉`.
+fn index_bits(npal: usize) -> u32 {
+    usize::BITS - npal.saturating_sub(1).leading_zeros()
+}
+
+/// One run's varint value: the count above one, then the index.
+fn run_code(n: u32, i: u32, bits: u32) -> u64 {
+    ((n as u64 - 1) << bits) | i as u64
+}
+
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+fn payload_len(palette: &[Pixel], runs: &[(u32, u32)]) -> usize {
+    let bits = index_bits(palette.len());
+    varint_len(palette.len() as u64)
+        + 4 * palette.len()
+        + varint_len(runs.len() as u64)
+        + runs
+            .iter()
+            .map(|&(n, i)| varint_len(run_code(n, i, bits)))
+            .sum::<usize>()
 }
 
 /// One damaged rectangle and its pixels.
@@ -75,7 +243,7 @@ impl PixelData {
 pub struct FrameRect {
     /// Screen area this patch covers.
     pub rect: Rect,
-    /// The pixels, raw or run-length encoded.
+    /// The pixels, raw or as palette-indexed runs.
     pub data: PixelData,
 }
 
@@ -94,22 +262,11 @@ pub struct Frame {
     pub rects: Vec<FrameRect>,
 }
 
-/// Run-length encodes a pixel row sequence.
-fn rle_runs(pixels: &[Pixel]) -> Vec<(u32, Pixel)> {
-    let mut runs: Vec<(u32, Pixel)> = Vec::new();
-    for &p in pixels {
-        match runs.last_mut() {
-            Some((n, q)) if *q == p => *n += 1,
-            _ => runs.push((1, p)),
-        }
-    }
-    runs
-}
-
 impl Frame {
     /// Builds the frame for `damage` from a composited framebuffer.
     /// Full damage becomes a single screen-sized rect; each rect's
-    /// pixels are RLE-compressed iff that is strictly smaller than raw.
+    /// pixels go as palette-indexed runs iff that is strictly smaller
+    /// than raw.
     pub fn build(fb: &Framebuffer, damage: &Damage, seq: u64) -> Frame {
         let screen = Rect::new(0, 0, fb.width, fb.height);
         let rects: Vec<Rect> = if damage.full {
@@ -125,8 +282,8 @@ impl Frame {
             .into_iter()
             .map(|rect| {
                 let raw = fb.rect_pixels(rect);
-                let runs = rle_runs(&raw);
-                let data = if 4 + 8 * runs.len() < 4 * raw.len() {
+                let runs = PaletteRuns::from_pixels(&raw);
+                let data = if runs.len < 4 * raw.len() {
                     PixelData::Rle(runs)
                 } else {
                     PixelData::Raw(raw)
@@ -167,11 +324,7 @@ impl Frame {
                 }
                 PixelData::Rle(runs) => {
                     w.put_u8(1);
-                    w.put_u32(runs.len() as u32);
-                    for (n, p) in runs {
-                        w.put_u32(*n);
-                        w.put_u32(*p);
-                    }
+                    runs.encode(&mut w);
                 }
             }
         }
@@ -190,7 +343,7 @@ impl Frame {
 
     /// Decodes and validates a frame. Every corruption mode —
     /// truncation, bit flip, wrong magic or version, payload/area
-    /// mismatch, trailing bytes — fails loudly.
+    /// mismatch, non-canonical runs, trailing bytes — fails loudly.
     pub fn decode(bytes: &[u8]) -> Result<Frame, DecodeError> {
         let mut r = Reader::checked(bytes)?;
         r.expect_magic(&FRAME_MAGIC)?;
@@ -201,7 +354,7 @@ impl Frame {
         let seq = r.u64()?;
         let width = r.u32()?;
         let height = r.u32()?;
-        if width > 16_384 || height > 16_384 {
+        if width > MAX_SIDE || height > MAX_SIDE {
             return Err(DecodeError::BadValue("screen size"));
         }
         let full = match r.u8()? {
@@ -218,35 +371,18 @@ impl Frame {
             let h = r.u32()?;
             let rect = Rect::new(x, y, w, h);
             let area = rect.area();
-            if area == 0 || area > (16_384u64 * 16_384) {
+            if area == 0 || area > MAX_SIDE as u64 * MAX_SIDE as u64 {
                 return Err(DecodeError::BadValue("rect area"));
             }
             let data = match r.u8()? {
                 0 => {
-                    let mut pixels = Vec::with_capacity(area as usize);
+                    let mut pixels = Vec::with_capacity((area as usize).min(r.remaining() / 4));
                     for _ in 0..area {
                         pixels.push(r.u32()?);
                     }
                     PixelData::Raw(pixels)
                 }
-                1 => {
-                    let nruns = r.u32()?;
-                    let mut runs = Vec::with_capacity(nruns as usize);
-                    let mut covered: u64 = 0;
-                    for _ in 0..nruns {
-                        let n = r.u32()?;
-                        let p = r.u32()?;
-                        if n == 0 {
-                            return Err(DecodeError::BadValue("zero-length run"));
-                        }
-                        covered += n as u64;
-                        runs.push((n, p));
-                    }
-                    if covered != area {
-                        return Err(DecodeError::BadValue("run coverage"));
-                    }
-                    PixelData::Rle(runs)
-                }
+                1 => PixelData::Rle(PaletteRuns::decode(&mut r, area)?),
                 _ => return Err(DecodeError::BadValue("pixel encoding")),
             };
             rects.push(FrameRect { rect, data });
@@ -279,7 +415,7 @@ mod tests {
                 },
                 FrameRect {
                     rect: Rect::new(10, 10, 8, 4),
-                    data: PixelData::Rle(vec![(30, 0xffffff), (2, 0)]),
+                    data: PixelData::Rle(PaletteRuns::from_runs([(30, 0xffffff), (2, 0)])),
                 },
             ],
         }
@@ -298,9 +434,11 @@ mod tests {
     #[test]
     fn build_picks_smaller_encoding() {
         let mut fb = Framebuffer::new(32, 32, 0xaaaaaa);
-        // A flat region compresses; a noisy one stays raw.
+        // A flat region compresses; a noisy one stays raw. With one
+        // colour per pixel the palette alone is as large as raw.
         for i in 0..16 {
-            fb.put(i, 1, (i as u32) * 7919);
+            fb.put(i, 0, (i as u32) * 7919 + 1);
+            fb.put(i, 1, (i as u32) * 7919 + 2);
         }
         let damage = Damage {
             full: false,
@@ -337,7 +475,7 @@ mod tests {
         assert!(Frame::decode(&wrong_magic).is_err());
         // A frame claiming runs that do not cover its rect.
         let mut f = sample_frame();
-        f.rects[1].data = PixelData::Rle(vec![(5, 0)]);
+        f.rects[1].data = PixelData::Rle(PaletteRuns::from_runs([(5, 0)]));
         assert_eq!(
             Frame::decode(&f.encode()).unwrap_err(),
             DecodeError::BadValue("run coverage")
@@ -350,13 +488,43 @@ mod tests {
         f.rects.clear();
         let mut bytes = f.encode();
         // Patch the version field (offset 4) and re-checksum.
-        bytes[7] = 2;
+        bytes[7] = 3;
+        reseal(&mut bytes);
+        assert_eq!(
+            Frame::decode(&bytes).unwrap_err(),
+            DecodeError::BadVersion(3)
+        );
+    }
+
+    /// Recomputes the checksum trailer after a test patches the body.
+    fn reseal(bytes: &mut [u8]) {
         let body_len = bytes.len() - 4;
         let sum = crate::wire::fnv1a(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_be_bytes());
-        assert_eq!(
-            Frame::decode(&bytes).unwrap_err(),
-            DecodeError::BadVersion(2)
-        );
+    }
+
+    #[test]
+    fn palette_runs_cost_a_byte_or_two_per_run() {
+        // Two colours: a 1-bit index, so runs up to 64 px take one byte.
+        let runs = PaletteRuns::from_runs([(64, 7), (3, 9), (200, 7)]);
+        assert_eq!(runs.palette(), &[7, 9]);
+        assert_eq!(runs.runs(), &[(64, 0), (3, 1), (200, 0)]);
+        // npal + 2 colours + nruns + 1 + 1 + 2 byte codes.
+        assert_eq!(PixelData::Rle(runs.clone()).encoded_len(), 1 + 8 + 1 + 4);
+        let rect = Rect::new(0, 0, 267, 1);
+        let f = Frame {
+            seq: 1,
+            width: 300,
+            height: 10,
+            full: false,
+            rects: vec![FrameRect {
+                rect,
+                data: PixelData::Rle(runs),
+            }],
+        };
+        let back = Frame::decode(&f.encode()).unwrap();
+        assert_eq!(back, f);
+        let want: Vec<Pixel> = [vec![7; 64], vec![9; 3], vec![7; 200]].concat();
+        assert_eq!(back.rects[0].data.expand(), want);
     }
 }

@@ -8,11 +8,12 @@
 //!
 //! Three pieces:
 //!
-//! * [`Frame`] — damage rectangles plus raw/RLE pixel batches, built
-//!   from the composited [`Framebuffer`](wafe_xproto::Framebuffer) and
-//!   the [`Damage`](wafe_xproto::Damage) taken from the display's
-//!   tracker. Canonical: the same screen and damage always encode to
-//!   the same bytes, and `encode ∘ decode` is the identity.
+//! * [`Frame`] — damage rectangles plus raw or palette-indexed
+//!   run-length pixel batches, built from the composited
+//!   [`Framebuffer`](wafe_xproto::Framebuffer) and the
+//!   [`Damage`](wafe_xproto::Damage) taken from the display's tracker.
+//!   Canonical: the same screen and damage always encode to the same
+//!   bytes, and `encode ∘ decode` is the identity.
 //! * [`InputEvent`] — key/button/motion/resize/text events posted back
 //!   by the client, decoded into the display's injection API.
 //! * [`wire`] — the big-endian primitives both share: length-prefixed
@@ -31,5 +32,5 @@ pub mod wire;
 pub use event::{
     modifier_mask, modifiers_from_mask, InputEvent, EVENT_MAGIC, MOD_CONTROL, MOD_META, MOD_SHIFT,
 };
-pub use frame::{Frame, FrameRect, PixelData, FRAME_MAGIC, PROTOCOL_VERSION};
+pub use frame::{Frame, FrameRect, PaletteRuns, PixelData, FRAME_MAGIC, PROTOCOL_VERSION};
 pub use wire::{from_hex, to_hex, DecodeError};

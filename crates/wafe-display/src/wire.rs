@@ -89,6 +89,18 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
+    /// Appends an unsigned LEB128 varint: seven bits per byte, low
+    /// group first, high bit set on every byte but the last. Always
+    /// the shortest form, which is the only one [`Reader::varint`]
+    /// accepts.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
@@ -172,6 +184,39 @@ impl<'a> Reader<'a> {
         ]))
     }
 
+    /// Reads an unsigned LEB128 varint. Overlong forms (a trailing zero
+    /// group) and values past `u64` are rejected, so every value has
+    /// exactly one encoding.
+    pub(crate) fn varint(&mut self) -> Result<u64, DecodeError> {
+        let mut v: u64 = 0;
+        let mut shift = 0;
+        loop {
+            let b = self.u8()?;
+            let group = (b & 0x7f) as u64;
+            if shift == 63 && group > 1 {
+                return Err(DecodeError::BadValue("varint overflow"));
+            }
+            v |= group << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(DecodeError::BadValue("overlong varint"));
+                }
+                return Ok(v);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(DecodeError::BadValue("varint overflow"));
+            }
+        }
+    }
+
+    /// Bytes left before the checksum trailer. Callers cap any
+    /// preallocation by this, so a count read from the message can
+    /// never reserve more than the message could actually fill.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, DecodeError> {
         let n = self.u32()? as usize;
@@ -240,6 +285,45 @@ mod tests {
         assert_eq!(r.u64().unwrap(), 1 << 40);
         assert_eq!(r.str().unwrap(), "héllo");
         r.done().unwrap();
+    }
+
+    #[test]
+    fn varints_are_shortest_form_only() {
+        for v in [0, 1, 0x7f, 0x80, 0x3fff, 0x4000, u32::MAX as u64, u64::MAX] {
+            let mut w = Writer::new();
+            w.put_varint(v);
+            let bytes = w.finish();
+            let mut r = Reader::checked(&bytes).unwrap();
+            assert_eq!(r.varint().unwrap(), v);
+            r.done().unwrap();
+        }
+        let read = |body: &[u8]| {
+            let mut w = Writer::new();
+            w.put_bytes(body);
+            let bytes = w.finish();
+            Reader::checked(&bytes).unwrap().varint()
+        };
+        assert_eq!(
+            read(&[0x80, 0x00]),
+            Err(DecodeError::BadValue("overlong varint"))
+        );
+        assert_eq!(
+            read(&[0xff, 0x00]),
+            Err(DecodeError::BadValue("overlong varint"))
+        );
+        let mut too_big = vec![0xff; 9];
+        too_big.push(0x02);
+        assert_eq!(
+            read(&too_big),
+            Err(DecodeError::BadValue("varint overflow"))
+        );
+        let mut too_long = vec![0xff; 10];
+        too_long.push(0x01);
+        assert_eq!(
+            read(&too_long),
+            Err(DecodeError::BadValue("varint overflow"))
+        );
+        assert_eq!(read(&[0x80]), Err(DecodeError::Truncated));
     }
 
     #[test]

@@ -7,9 +7,14 @@
 //!   added to a [`DamageTracker`] is covered by what `take()` returns,
 //!   however the tracker merged, capped or fell back to full;
 //! * corruption fails loudly — every truncation and every single-bit
-//!   flip of a valid message is rejected, never decoded best-effort.
+//!   flip of a valid message is rejected, never decoded best-effort;
+//! * only the canonical form decodes — hand-assembled palette-run
+//!   payloads the encoder would never write (overlong varints,
+//!   duplicate, unused or out-of-order palette entries, an index past
+//!   the palette, runs past or short of the area) are rejected by name.
 
-use wafe_display::{Frame, FrameRect, InputEvent, PixelData};
+use wafe_display::wire::{DecodeError, Writer};
+use wafe_display::{Frame, FrameRect, InputEvent, PaletteRuns, PixelData, FRAME_MAGIC};
 use wafe_prop::{cases, Rng};
 use wafe_xproto::framebuffer::Framebuffer;
 use wafe_xproto::{DamageTracker, Rect};
@@ -40,7 +45,7 @@ fn arbitrary_frame(rng: &mut Rng) -> Frame {
                 runs.push((n, rng.next_u64() as u32));
                 left -= n as u64;
             }
-            PixelData::Rle(runs)
+            PixelData::Rle(PaletteRuns::from_runs(runs))
         };
         FrameRect { rect, data }
     });
@@ -193,6 +198,228 @@ fn every_single_bit_flip_fails_loudly() {
                     "bit {bit} of byte {i} flipped and the frame still decoded"
                 );
             }
+        }
+    });
+}
+
+/// One item of a hand-assembled encoding-1 payload.
+#[derive(Clone, Copy)]
+enum Field {
+    Varint(u64),
+    Colour(u32),
+}
+
+/// `⌈log2 npal⌉`, the run-code index width.
+fn index_bits(npal: usize) -> u32 {
+    usize::BITS - npal.saturating_sub(1).leading_zeros()
+}
+
+/// The payload fields for a palette and `(count, index)` runs, laid out
+/// as the encoder lays them out — but from values a test may have bent.
+fn fields(palette: &[u32], runs: &[(u64, u64)]) -> Vec<Field> {
+    let bits = index_bits(palette.len());
+    let mut out = vec![Field::Varint(palette.len() as u64)];
+    out.extend(palette.iter().map(|&c| Field::Colour(c)));
+    out.push(Field::Varint(runs.len() as u64));
+    out.extend(
+        runs.iter()
+            .map(|&(n, i)| Field::Varint(((n - 1) << bits) | i)),
+    );
+    out
+}
+
+/// A checksummed one-rect frame carrying `fields` as its encoding-1
+/// payload. `overlong` names a field index written as a varint with a
+/// redundant trailing zero group.
+fn assemble(rect: Rect, fields: &[Field], overlong: Option<usize>) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_bytes(&FRAME_MAGIC);
+    w.put_u32(wafe_display::PROTOCOL_VERSION);
+    w.put_u64(1);
+    w.put_u32(256);
+    w.put_u32(256);
+    w.put_u8(0);
+    w.put_u32(1);
+    w.put_i32(rect.x);
+    w.put_i32(rect.y);
+    w.put_u32(rect.w);
+    w.put_u32(rect.h);
+    w.put_u8(1);
+    for (k, f) in fields.iter().enumerate() {
+        match *f {
+            Field::Colour(c) => w.put_u32(c),
+            Field::Varint(v) if overlong == Some(k) => {
+                let mut v = v;
+                while v >= 0x80 {
+                    w.put_u8(v as u8 | 0x80);
+                    v >>= 7;
+                }
+                w.put_u8(v as u8 | 0x80);
+                w.put_u8(0);
+            }
+            Field::Varint(v) => w.put_varint(v),
+        }
+    }
+    w.finish()
+}
+
+/// A rect, its pixels drawn from a few colours, and the canonical
+/// palette and runs the encoder derives from them.
+fn arbitrary_runs(rng: &mut Rng) -> (Rect, Vec<u32>, Vec<(u64, u64)>) {
+    let rect = Rect::new(0, 0, rng.range_u32(1, 12), rng.range_u32(1, 12));
+    let colours: Vec<u32> = (0..rng.range(1, 8))
+        .map(|_| rng.next_u64() as u32)
+        .collect();
+    let pixels: Vec<u32> = (0..rect.area()).map(|_| *rng.pick(&colours)).collect();
+    let runs = PaletteRuns::from_pixels(&pixels);
+    let palette = runs.palette().to_vec();
+    let runs = runs
+        .runs()
+        .iter()
+        .map(|&(n, i)| (n as u64, i as u64))
+        .collect();
+    (rect, palette, runs)
+}
+
+fn rejects(bytes: &[u8], why: &'static str) {
+    assert_eq!(
+        Frame::decode(bytes).map(|_| ()),
+        Err(DecodeError::BadValue(why)),
+        "non-canonical payload was not rejected as {why:?}"
+    );
+}
+
+#[test]
+fn hand_assembled_canonical_payloads_decode() {
+    // The control for the rejection properties below: the assembler
+    // itself writes what the encoder writes.
+    cases(200, |rng| {
+        let (rect, palette, runs) = arbitrary_runs(rng);
+        let bytes = assemble(rect, &fields(&palette, &runs), None);
+        let frame = Frame::decode(&bytes).unwrap();
+        assert_eq!(frame.encode(), bytes);
+    });
+}
+
+#[test]
+fn overlong_varints_are_rejected() {
+    cases(200, |rng| {
+        let (rect, palette, runs) = arbitrary_runs(rng);
+        let fields = fields(&palette, &runs);
+        let varints: Vec<usize> = (0..fields.len())
+            .filter(|&k| matches!(fields[k], Field::Varint(_)))
+            .collect();
+        let k = *rng.pick(&varints);
+        rejects(&assemble(rect, &fields, Some(k)), "overlong varint");
+    });
+}
+
+#[test]
+fn duplicate_palette_entries_are_rejected() {
+    cases(200, |rng| {
+        let (rect, mut palette, mut runs) = arbitrary_runs(rng);
+        if runs.len() < 2 {
+            return;
+        }
+        // Point one run at a second copy of its own colour: the pixels
+        // are unchanged but the palette now repeats itself.
+        let k = rng.range(1, runs.len());
+        let fresh = palette.len() as u64;
+        if runs[..k].iter().map(|r| r.1).max().unwrap() + 1 < fresh {
+            // Keep first-use order: the copy must be the next new entry.
+            return;
+        }
+        palette.push(palette[runs[k].1 as usize]);
+        runs[k].1 = fresh;
+        rejects(
+            &assemble(rect, &fields(&palette, &runs), None),
+            "duplicate palette entry",
+        );
+    });
+}
+
+#[test]
+fn unused_palette_entries_are_rejected() {
+    cases(200, |rng| {
+        let (rect, mut palette, runs) = arbitrary_runs(rng);
+        let extra = loop {
+            let c = rng.next_u64() as u32;
+            if !palette.contains(&c) {
+                break c;
+            }
+        };
+        palette.push(extra);
+        rejects(
+            &assemble(rect, &fields(&palette, &runs), None),
+            "unused palette entry",
+        );
+    });
+}
+
+#[test]
+fn out_of_order_palette_entries_are_rejected() {
+    cases(200, |rng| {
+        let (rect, mut palette, mut runs) = arbitrary_runs(rng);
+        if palette.len() < 2 {
+            return;
+        }
+        // Swap two entries and remap the runs: same pixels, but the
+        // runs now reach a later entry before an earlier one.
+        let a = rng.below(palette.len() as u64 - 1);
+        let b = rng.range(a as usize + 1, palette.len()) as u64;
+        palette.swap(a as usize, b as usize);
+        for run in &mut runs {
+            run.1 = if run.1 == a {
+                b
+            } else if run.1 == b {
+                a
+            } else {
+                run.1
+            };
+        }
+        rejects(
+            &assemble(rect, &fields(&palette, &runs), None),
+            "palette order",
+        );
+    });
+}
+
+#[test]
+fn indices_past_the_palette_are_rejected() {
+    cases(200, |rng| {
+        let (rect, palette, mut runs) = arbitrary_runs(rng);
+        let room = 1u64 << index_bits(palette.len());
+        if room == palette.len() as u64 {
+            // Every index the code width can carry is in range.
+            return;
+        }
+        let k = rng.below(runs.len() as u64) as usize;
+        runs[k].1 = rng.range(palette.len(), room as usize) as u64;
+        rejects(
+            &assemble(rect, &fields(&palette, &runs), None),
+            "palette index",
+        );
+    });
+}
+
+#[test]
+fn runs_past_or_short_of_the_area_are_rejected() {
+    cases(200, |rng| {
+        let (rect, palette, mut runs) = arbitrary_runs(rng);
+        let k = rng.below(runs.len() as u64) as usize;
+        let mut long = runs.clone();
+        long[k].0 += rng.range(1, 50) as u64;
+        rejects(
+            &assemble(rect, &fields(&palette, &long), None),
+            "run past area",
+        );
+        let last = runs.len() - 1;
+        if runs[last].0 > 1 {
+            runs[last].0 -= rng.range(1, runs[last].0 as usize) as u64;
+            rejects(
+                &assemble(rect, &fields(&palette, &runs), None),
+                "run coverage",
+            );
         }
     });
 }

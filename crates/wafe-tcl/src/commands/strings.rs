@@ -116,8 +116,16 @@ fn cmd_format(_: &mut Interp, argv: &[Value]) -> TclResult<Value> {
     format_impl(&argv[1], &argv[2..]).map(Value::from)
 }
 
+/// Largest field width or precision `format` accepts. A field can be no
+/// wider than the 64 KB command line that would carry it (the paper's
+/// default line limit); larger values would let a few bytes of script
+/// build a gigabyte string, and past `u16::MAX` Rust's formatter panics
+/// on the precision.
+const MAX_FIELD: usize = 64 * 1024 - 1;
+
 /// A C-`printf` subset: flags `-+ 0#`, width, precision; conversions
-/// `s d i u o x X c f e E g G %`.
+/// `s d i u o x X c f e E g G %`. Widths and precisions above
+/// [`MAX_FIELD`] are a Tcl error.
 pub fn format_impl<S: AsRef<str>>(fmt: &str, args: &[S]) -> TclResult<String> {
     let chars: Vec<char> = fmt.chars().collect();
     let mut out = String::new();
@@ -166,9 +174,16 @@ pub fn format_impl<S: AsRef<str>>(fmt: &str, args: &[S]) -> TclResult<String> {
         let mut width = 0usize;
         let mut have_width = false;
         while i < chars.len() && chars[i].is_ascii_digit() {
-            width = width * 10 + chars[i].to_digit(10).unwrap() as usize;
+            width = width
+                .saturating_mul(10)
+                .saturating_add(chars[i].to_digit(10).unwrap() as usize);
             have_width = true;
             i += 1;
+        }
+        if width > MAX_FIELD {
+            return Err(TclError::Error(format!(
+                "format field width exceeds the {MAX_FIELD}-character limit"
+            )));
         }
         // Precision.
         let mut prec: Option<usize> = None;
@@ -176,8 +191,15 @@ pub fn format_impl<S: AsRef<str>>(fmt: &str, args: &[S]) -> TclResult<String> {
             i += 1;
             let mut p = 0usize;
             while i < chars.len() && chars[i].is_ascii_digit() {
-                p = p * 10 + chars[i].to_digit(10).unwrap() as usize;
+                p = p
+                    .saturating_mul(10)
+                    .saturating_add(chars[i].to_digit(10).unwrap() as usize);
                 i += 1;
+            }
+            if p > MAX_FIELD {
+                return Err(TclError::Error(format!(
+                    "format precision exceeds the {MAX_FIELD}-character limit"
+                )));
             }
             prec = Some(p);
         }

@@ -56,6 +56,35 @@ fn format_never_panics() {
     });
 }
 
+/// Widths and precisions past the 64 KB line limit are Tcl errors, not
+/// panics or gigabyte strings; the largest accepted ones still work.
+#[test]
+fn format_rejects_huge_fields() {
+    let mut i = Interp::new();
+    for script in [
+        "format %.999999f 1.0",
+        "format %999999999d 1",
+        "format %.65536e 1.0",
+        "format %65536s x",
+        "format %.99999999999999999999999s x",
+        "format %99999999999999999999999999d 1",
+        "format {%-0+ 70000.3f} 1",
+    ] {
+        let err = i.eval(script).expect_err(script);
+        assert!(
+            err.to_string()
+                .contains("exceeds the 65535-character limit"),
+            "{script}: {err}"
+        );
+    }
+    assert_eq!(i.eval("string length [format %65535d 1]").unwrap(), "65535");
+    assert_eq!(
+        i.eval("string length [format %.65535f 1.0]").unwrap(),
+        (2 + 65535).to_string()
+    );
+    assert_eq!(i.eval("format %5.2f 3.14159").unwrap(), " 3.14");
+}
+
 /// Deep but bounded nesting is handled (no stack overflow).
 #[test]
 fn nested_brackets_bounded() {

@@ -132,7 +132,7 @@ def read_frame(f):
             continue
         payload = bytes.fromhex(line.split(" ", 2)[2])
         assert payload[:4] == b"WFRM", "bad frame magic"
-        assert int.from_bytes(payload[4:8], "big") == 1, "bad frame version"
+        assert int.from_bytes(payload[4:8], "big") == 2, "bad frame version"
         want = int.from_bytes(payload[-4:], "big")
         assert fnv1a(payload[:-4]) == want, "frame checksum mismatch"
         w = int.from_bytes(payload[16:20], "big")
@@ -160,6 +160,15 @@ EOF
     wait $pid 2>/dev/null
     exit 0
 ' || { echo "waferd display smoke test: FAILED (or exceeded 30s)"; exit 1; }
+
+# The browser client decodes frames in JavaScript, which nothing else
+# exercises: run the page's own decodeFrame under node over frames the
+# Rust encoder built (full, incremental, and one with both pixel
+# encodings) and require the decoded pixels to match the Rust expansion.
+echo "== browser frame decoder vs Rust encoder (node)"
+cargo run -q --release --offline --example display_frames > target/display_frames.jsonl
+node scripts/display_decoder_check.js src/bin/waferd_display.html target/display_frames.jsonl \
+    || { echo "browser frame decoder check: FAILED"; exit 1; }
 
 # Perf gates. E21 is the dual-rep value model: one smoke run must
 # complete (its >=3x acceptance assert is inside the bench) and leave

@@ -75,13 +75,18 @@ fn three_phases_end_to_end() {
         ),
         "backend must answer with the factorisation"
     );
-    // The info label went through "thinking..." to "N seconds".
-    let info = {
+    // The info label went through "thinking..." to "N seconds". The
+    // backend may set it after the result, so wait for it too.
+    let info_label = |fe: &Frontend| {
         let app = fe.engine.session.app.borrow();
         let i = app.lookup("info").unwrap();
         app.str_resource(i, "label")
     };
-    assert!(info.ends_with("seconds"), "info label was {info:?}");
+    assert!(
+        wait_for(&mut fe, |fe| info_label(fe).ends_with("seconds"), 10),
+        "info label was {:?}",
+        info_label(&fe)
+    );
 
     // Invalid input handled.
     {
