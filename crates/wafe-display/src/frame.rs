@@ -130,11 +130,19 @@ impl PaletteRuns {
             .into_iter()
             .map(|(n, p)| {
                 assert!(n > 0, "a run covers at least one pixel");
-                let next = palette.len() as u32;
-                let i = *index.entry(p).or_insert(next);
-                if i == next {
+                // Most rects hold a handful of colours, and scanning
+                // that few beats hashing; `index` takes over past it.
+                let found = if palette.len() <= 8 {
+                    palette.iter().position(|&c| c == p).map(|i| i as u32)
+                } else {
+                    index.get(&p).copied()
+                };
+                let i = found.unwrap_or_else(|| {
+                    let next = palette.len() as u32;
                     palette.push(p);
-                }
+                    index.insert(p, next);
+                    next
+                });
                 (n, i)
             })
             .collect();
@@ -266,7 +274,8 @@ impl Frame {
     /// Builds the frame for `damage` from a composited framebuffer.
     /// Full damage becomes a single screen-sized rect; each rect's
     /// pixels go as palette-indexed runs iff that is strictly smaller
-    /// than raw.
+    /// than raw. The runs come straight from the framebuffer's tiles,
+    /// so a rect's pixels are copied out only when raw wins.
     pub fn build(fb: &Framebuffer, damage: &Damage, seq: u64) -> Frame {
         let screen = Rect::new(0, 0, fb.width, fb.height);
         let rects: Vec<Rect> = if damage.full {
@@ -281,12 +290,11 @@ impl Frame {
         let rects = rects
             .into_iter()
             .map(|rect| {
-                let raw = fb.rect_pixels(rect);
-                let runs = PaletteRuns::from_pixels(&raw);
-                let data = if runs.len < 4 * raw.len() {
+                let runs = PaletteRuns::from_runs(fb.runs(rect));
+                let data = if (runs.len as u64) < 4 * rect.area() {
                     PixelData::Rle(runs)
                 } else {
-                    PixelData::Raw(raw)
+                    PixelData::Raw(fb.rect_pixels(rect))
                 };
                 FrameRect { rect, data }
             })

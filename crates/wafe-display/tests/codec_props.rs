@@ -17,7 +17,7 @@ use wafe_display::wire::{DecodeError, Writer};
 use wafe_display::{Frame, FrameRect, InputEvent, PaletteRuns, PixelData, FRAME_MAGIC};
 use wafe_prop::{cases, Rng};
 use wafe_xproto::framebuffer::Framebuffer;
-use wafe_xproto::{DamageTracker, Rect};
+use wafe_xproto::{Damage, DamageTracker, Rect};
 
 fn arbitrary_rect(rng: &mut Rng, max_w: u32, max_h: u32) -> Rect {
     Rect::new(
@@ -124,6 +124,97 @@ fn built_frames_round_trip_and_carry_the_framebuffer_pixels() {
                 fr.rect
             );
         }
+    });
+}
+
+/// `Frame::build` as it was before frames were built from the
+/// framebuffer's runs: copy each rect's pixels, run-length them, and
+/// keep raw when the palette-run payload is not strictly smaller.
+fn reference_build(fb: &Framebuffer, damage: &Damage, seq: u64) -> Frame {
+    let screen = Rect::new(0, 0, fb.width, fb.height);
+    let rects: Vec<Rect> = if damage.full {
+        vec![screen]
+    } else {
+        damage
+            .rects
+            .iter()
+            .filter_map(|r| r.intersect(&screen))
+            .collect()
+    };
+    let payload = |data: PixelData, rect: Rect| {
+        let one = Frame {
+            seq,
+            width: fb.width,
+            height: fb.height,
+            full: false,
+            rects: vec![FrameRect { rect, data }],
+        };
+        (
+            one.encoded_len(),
+            one.rects.into_iter().next().unwrap().data,
+        )
+    };
+    let rects = rects
+        .into_iter()
+        .map(|rect| {
+            let raw = fb.rect_pixels(rect);
+            let (rle_len, rle) = payload(PixelData::Rle(PaletteRuns::from_pixels(&raw)), rect);
+            let (raw_len, raw) = payload(PixelData::Raw(raw), rect);
+            let data = if rle_len < raw_len { rle } else { raw };
+            FrameRect { rect, data }
+        })
+        .collect();
+    Frame {
+        seq,
+        width: fb.width,
+        height: fb.height,
+        full: damage.full,
+        rects,
+    }
+}
+
+#[test]
+fn built_frames_equal_the_copying_reference() {
+    // A tie: [a, a, b] costs 12 bytes either way, and raw wins ties.
+    let mut fb = Framebuffer::new(3, 1, 5);
+    fb.put(2, 0, 6);
+    let tie = Frame::build(&fb, &Damage::full(), 1);
+    assert!(matches!(tie.rects[0].data, PixelData::Raw(_)));
+    assert_eq!(tie, reference_build(&fb, &Damage::full(), 1));
+
+    cases(200, |rng| {
+        let (w, h) = (rng.range_u32(2, 120), rng.range_u32(2, 90));
+        let screen = Rect::new(0, 0, w, h);
+        let colours: Vec<u32> = (0..rng.range(1, 40))
+            .map(|_| rng.next_u64() as u32)
+            .collect();
+        let mut fb = Framebuffer::new(w, h, colours[0]);
+        for _ in 0..rng.below(30) {
+            // Fills large and small, so some tiles go solid again.
+            let r = arbitrary_rect(rng, w + 20, h + 20);
+            fb.fill_rect(r, screen, *rng.pick(&colours));
+        }
+        for _ in 0..rng.below(300) {
+            let (x, y) = (rng.below(w as u64) as i32, rng.below(h as u64) as i32);
+            fb.put(x, y, *rng.pick(&colours));
+        }
+        if rng.chance() {
+            fb.collapse(arbitrary_rect(rng, w + 20, h + 20));
+        }
+        let damage = if rng.below(4) == 0 {
+            Damage::full()
+        } else {
+            let mut tracker = DamageTracker::new(w, h);
+            for _ in 0..rng.range(1, 6) {
+                tracker.add(arbitrary_rect(rng, w, h));
+            }
+            tracker.take()
+        };
+        let seq = rng.next_u64();
+        let built = Frame::build(&fb, &damage, seq);
+        let want = reference_build(&fb, &damage, seq);
+        assert_eq!(built, want);
+        assert_eq!(built.encode(), want.encode());
     });
 }
 

@@ -114,8 +114,10 @@ impl Display {
             // Materialized only when pixels are actually needed (a
             // display client attaches, or `framebuffer()` is read):
             // headless sessions (wafe-serve runs thousands) never
-            // composite, and the 1024x768 pixel buffer is ~3 MB per
-            // display. A headless flush only moves damage rectangles.
+            // composite, and a headless flush only moves damage
+            // rectangles. Once materialized, the buffer stores pixels
+            // only for the 16x16 tiles that are not one colour (about
+            // 0.7 MiB for a busy dashboard, not a flat 3 MiB).
             framebuffer: Framebuffer::new(0, 0, 0xbebebe),
             blocked_events: 0,
             held_modifiers: Modifiers::NONE,
@@ -401,19 +403,21 @@ impl Display {
 
     /// Generates `Expose` for a window and its viewable descendants.
     pub fn expose(&mut self, id: WindowId) {
-        if !self.is_viewable(id) {
-            return;
-        }
-        let rect = self.window_rect(id).unwrap_or_default();
-        let mut e = Event::new(EventKind::Expose, id);
-        e.x = 0;
-        e.y = 0;
-        e.x_root = rect.w as i32; // Expose carries width/height in x_root/y_root slots.
-        e.y_root = rect.h as i32;
-        self.push(e);
-        let children = self.windows[&id].children.clone();
-        for c in children {
-            self.expose(c);
+        // Depth-first, parents before children, siblings in stacking
+        // order; one stack instead of a child-list copy per window.
+        let mut todo = vec![id];
+        while let Some(id) = todo.pop() {
+            if !self.is_viewable(id) {
+                continue;
+            }
+            let rect = self.window_rect(id).unwrap_or_default();
+            let mut e = Event::new(EventKind::Expose, id);
+            e.x = 0;
+            e.y = 0;
+            e.x_root = rect.w as i32; // Expose carries width/height in x_root/y_root slots.
+            e.y_root = rect.h as i32;
+            self.push(e);
+            todo.extend(self.windows[&id].children.iter().rev());
         }
     }
 
@@ -438,19 +442,23 @@ impl Display {
     /// Repaints the damaged regions into the persistent framebuffer,
     /// materializing it (with a full paint) on first use. `paint`
     /// starts at the root, whose background covers every clip, so a
-    /// damaged region needs no separate clear.
+    /// damaged region needs no separate clear. Tiles a region's paint
+    /// left one colour go back to holding no pixels.
     fn repaint(&mut self, damage: &Damage) {
         let mut fb = std::mem::replace(&mut self.framebuffer, Framebuffer::new(0, 0, 0));
         let first = fb.is_empty();
         if first {
             fb = Framebuffer::new(SCREEN_W, SCREEN_H, 0xbebebe);
         }
-        if first || damage.full {
-            self.paint(self.root, Rect::new(0, 0, SCREEN_W, SCREEN_H), &mut fb);
+        let screen = [Rect::new(0, 0, SCREEN_W, SCREEN_H)];
+        let rects = if first || damage.full {
+            &screen[..]
         } else {
-            for r in &damage.rects {
-                self.paint(self.root, *r, &mut fb);
-            }
+            &damage.rects[..]
+        };
+        for r in rects {
+            self.paint(self.root, *r, &mut fb);
+            fb.collapse(*r);
         }
         self.framebuffer = fb;
     }
@@ -514,7 +522,7 @@ impl Display {
                 }
             }
         }
-        for &c in &w.children.clone() {
+        for &c in &w.children {
             self.paint(c, clip, fb);
         }
     }

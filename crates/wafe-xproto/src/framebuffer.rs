@@ -68,23 +68,71 @@ pub enum DrawOp {
     },
 }
 
-/// An RGB framebuffer.
+/// Side of a square framebuffer tile, in pixels. Smaller tiles hug
+/// text and borders more tightly — E28's 25-label dashboard stores
+/// 716 KiB of pixels at 16, 832 KiB at 32 — for a larger grid (48 KiB
+/// of tile slots at 1024×768).
+const TILE: u32 = 16;
+/// Pixels in one tile.
+const TILE_PX: usize = (TILE * TILE) as usize;
+
+/// One `TILE`×`TILE` block of a [`Framebuffer`].
+#[derive(Debug, Clone)]
+enum Tile {
+    /// Every pixel has this colour; nothing is stored.
+    Solid(Pixel),
+    /// Row-major pixels, `TILE` per row. An edge tile overhangs the
+    /// buffer; its pixels past the right or bottom edge are never read.
+    Pixels(Box<[Pixel; TILE_PX]>),
+}
+
+/// A stretch of one row: part of one stored tile, or solid tiles of one
+/// colour.
+enum Span<'a> {
+    /// `n` pixels of one colour.
+    Solid(u32, Pixel),
+    /// The pixels themselves.
+    Pixels(&'a [Pixel]),
+}
+
+impl Span<'_> {
+    fn len(&self) -> u32 {
+        match self {
+            Span::Solid(n, _) => *n,
+            Span::Pixels(s) => s.len() as u32,
+        }
+    }
+}
+
+/// An RGB framebuffer, stored as a grid of 16×16 tiles.
+///
+/// A tile of one colour holds no pixels: a screen is mostly flat
+/// backgrounds, so only the tiles under borders, text and images pay
+/// for storage. Filling a whole tile makes it solid again, writing a
+/// solid tile's own colour is free, and [`Self::collapse`] folds a
+/// repainted tile that came out uniform back to solid.
 #[derive(Debug, Clone)]
 pub struct Framebuffer {
     /// Width in pixels.
     pub width: u32,
     /// Height in pixels.
     pub height: u32,
-    pixels: Vec<Pixel>,
+    /// Tiles per row of tiles.
+    cols: u32,
+    /// Row-major tile grid covering the buffer.
+    tiles: Vec<Tile>,
 }
 
 impl Framebuffer {
     /// Creates a framebuffer cleared to the given colour.
     pub fn new(width: u32, height: u32, clear: Pixel) -> Self {
+        let cols = width.div_ceil(TILE);
+        let rows = height.div_ceil(TILE);
         Framebuffer {
             width,
             height,
-            pixels: vec![clear; (width * height) as usize],
+            cols,
+            tiles: vec![Tile::Solid(clear); (cols * rows) as usize],
         }
     }
 
@@ -94,20 +142,114 @@ impl Framebuffer {
         self.width == 0 || self.height == 0
     }
 
+    /// Bytes of pixel storage held: only tiles that are not one colour
+    /// have any.
+    pub fn resident_bytes(&self) -> usize {
+        let stored = self
+            .tiles
+            .iter()
+            .filter(|t| matches!(t, Tile::Pixels(_)))
+            .count();
+        stored * TILE_PX * std::mem::size_of::<Pixel>()
+    }
+
+    /// `rect` clipped to the buffer.
+    fn clip(&self, rect: Rect) -> Option<Rect> {
+        rect.intersect(&Rect::new(0, 0, self.width, self.height))
+    }
+
+    fn tile_index(&self, x: u32, y: u32) -> usize {
+        ((y / TILE) * self.cols + x / TILE) as usize
+    }
+
+    /// The part of tile `i` that lies inside the buffer.
+    fn tile_rect(&self, i: usize) -> Rect {
+        let (tx, ty) = ((i as u32 % self.cols) * TILE, (i as u32 / self.cols) * TILE);
+        Rect::new(
+            tx as i32,
+            ty as i32,
+            TILE.min(self.width - tx),
+            TILE.min(self.height - ty),
+        )
+    }
+
+    /// Indices of the tiles a clipped rect touches, in a grid `cols`
+    /// tiles wide.
+    fn tiles_under(cols: u32, r: Rect) -> impl Iterator<Item = usize> {
+        let (x0, x1) = (r.x as u32 / TILE, (r.x as u32 + r.w - 1) / TILE);
+        let (y0, y1) = (r.y as u32 / TILE, (r.y as u32 + r.h - 1) / TILE);
+        (y0..=y1).flat_map(move |ty| (x0..=x1).map(move |tx| (ty * cols + tx) as usize))
+    }
+
+    /// Row `y` from `x` to the end of `x`'s tile or to `x_end`,
+    /// whichever comes first; a solid span also takes in the solid
+    /// tiles of its colour that follow. `x < x_end <= width` and
+    /// `y < height`.
+    fn span(&self, x: u32, y: u32, x_end: u32) -> Span<'_> {
+        let mut end = x_end.min((x / TILE + 1) * TILE);
+        let i = self.tile_index(x, y);
+        match &self.tiles[i] {
+            Tile::Solid(p) => {
+                let mut next = i + 1;
+                while end < x_end && matches!(self.tiles[next], Tile::Solid(q) if q == *p) {
+                    end = x_end.min(end + TILE);
+                    next += 1;
+                }
+                Span::Solid(end - x, *p)
+            }
+            Tile::Pixels(px) => {
+                let at = ((y % TILE) * TILE + x % TILE) as usize;
+                Span::Pixels(&px[at..at + (end - x) as usize])
+            }
+        }
+    }
+
+    /// Calls `f` on every span of a clipped rect, row-major.
+    fn for_each_span(&self, r: Rect, mut f: impl FnMut(Span<'_>)) {
+        let (x0, x1) = (r.x as u32, r.x as u32 + r.w);
+        for y in r.y as u32..r.y as u32 + r.h {
+            let mut x = x0;
+            while x < x1 {
+                let s = self.span(x, y, x1);
+                x += s.len();
+                f(s);
+            }
+        }
+    }
+
     /// Copies the pixels of a rectangle (clipped to the buffer),
     /// row-major — the payload of a display-protocol damage rect.
     pub fn rect_pixels(&self, rect: Rect) -> Vec<Pixel> {
-        let bounds = Rect::new(0, 0, self.width, self.height);
-        let r = match rect.intersect(&bounds) {
-            Some(r) => r,
-            None => return Vec::new(),
+        let Some(r) = self.clip(rect) else {
+            return Vec::new();
         };
         let mut out = Vec::with_capacity((r.w * r.h) as usize);
-        for y in r.y..r.y + r.h as i32 {
-            let row = (y as u32 * self.width + r.x as u32) as usize;
-            out.extend_from_slice(&self.pixels[row..row + r.w as usize]);
-        }
+        self.for_each_span(r, |s| match s {
+            Span::Solid(n, p) => out.extend(std::iter::repeat_n(p, n as usize)),
+            Span::Pixels(px) => out.extend_from_slice(px),
+        });
         out
+    }
+
+    /// The maximal row-major `(count, pixel)` runs of a rectangle
+    /// (clipped to the buffer): what `rect_pixels` would return, run-
+    /// length coded without copying it. A solid stretch of a row is one
+    /// step, and runs continue across tiles and rows.
+    pub fn runs(&self, rect: Rect) -> Vec<(u32, Pixel)> {
+        let mut runs: Vec<(u32, Pixel)> = Vec::new();
+        let mut push = |n: u32, p: Pixel| match runs.last_mut() {
+            Some((m, q)) if *q == p => *m += n,
+            _ => runs.push((n, p)),
+        };
+        if let Some(r) = self.clip(rect) {
+            self.for_each_span(r, |s| match s {
+                Span::Solid(n, p) => push(n, p),
+                Span::Pixels(px) => px
+                    .chunk_by(|a, b| a == b)
+                    .for_each(|c| push(c.len() as u32, c[0])),
+            });
+        }
+        runs
     }
 
     /// Reads one pixel; out-of-bounds reads return black.
@@ -115,7 +257,22 @@ impl Framebuffer {
         if x < 0 || y < 0 || x as u32 >= self.width || y as u32 >= self.height {
             return 0;
         }
-        self.pixels[(y as u32 * self.width + x as u32) as usize]
+        match &self.tiles[self.tile_index(x as u32, y as u32)] {
+            Tile::Solid(p) => *p,
+            Tile::Pixels(px) => px[((y as u32 % TILE) * TILE + x as u32 % TILE) as usize],
+        }
+    }
+
+    /// The pixels of tile `i`, materializing a solid tile.
+    fn tile_pixels(&mut self, i: usize) -> &mut [Pixel; TILE_PX] {
+        let tile = &mut self.tiles[i];
+        if let Tile::Solid(p) = *tile {
+            *tile = Tile::Pixels(Box::new([p; TILE_PX]));
+        }
+        match tile {
+            Tile::Pixels(px) => px,
+            Tile::Solid(_) => unreachable!("materialized above"),
+        }
     }
 
     /// Writes one pixel; out-of-bounds writes are clipped.
@@ -123,18 +280,59 @@ impl Framebuffer {
         if x < 0 || y < 0 || x as u32 >= self.width || y as u32 >= self.height {
             return;
         }
-        self.pixels[(y as u32 * self.width + x as u32) as usize] = p;
+        let (x, y) = (x as u32, y as u32);
+        let i = self.tile_index(x, y);
+        if matches!(self.tiles[i], Tile::Solid(q) if q == p) {
+            return;
+        }
+        self.tile_pixels(i)[((y % TILE) * TILE + x % TILE) as usize] = p;
     }
 
-    /// Fills a rectangle, clipped to the buffer and to `clip`.
+    /// Fills a rectangle, clipped to the buffer and to `clip`. A tile
+    /// the fill covers becomes solid.
     pub fn fill_rect(&mut self, rect: Rect, clip: Rect, p: Pixel) {
-        let target = match rect.intersect(&clip) {
-            Some(r) => r,
-            None => return,
+        let Some(target) = rect.intersect(&clip).and_then(|r| self.clip(r)) else {
+            return;
         };
-        for y in target.y..target.y + target.h as i32 {
-            for x in target.x..target.x + target.w as i32 {
-                self.put(x, y, p);
+        for i in Self::tiles_under(self.cols, target) {
+            let tile = self.tile_rect(i);
+            let part = target.intersect(&tile).expect("tile lies under target");
+            if part == tile {
+                self.tiles[i] = Tile::Solid(p);
+                continue;
+            }
+            if matches!(self.tiles[i], Tile::Solid(q) if q == p) {
+                continue;
+            }
+            let px = self.tile_pixels(i);
+            let (x0, x1) = (part.x as u32 % TILE, part.x as u32 % TILE + part.w);
+            for y in part.y as u32 % TILE..part.y as u32 % TILE + part.h {
+                let row = (y * TILE) as usize;
+                px[row + x0 as usize..row + x1 as usize].fill(p);
+            }
+        }
+    }
+
+    /// Folds every tile under `rect` whose pixels inside the buffer are
+    /// all one colour back to a solid tile. The pixels read the same
+    /// before and after; only the storage goes.
+    pub fn collapse(&mut self, rect: Rect) {
+        let Some(r) = self.clip(rect) else {
+            return;
+        };
+        for i in Self::tiles_under(self.cols, r) {
+            let Tile::Pixels(px) = &self.tiles[i] else {
+                continue;
+            };
+            let tile = self.tile_rect(i);
+            let first = px[0];
+            let uniform = (0..tile.h as usize).all(|y| {
+                px[y * TILE as usize..y * TILE as usize + tile.w as usize]
+                    .iter()
+                    .all(|&v| v == first)
+            });
+            if uniform {
+                self.tiles[i] = Tile::Solid(first);
             }
         }
     }
@@ -216,7 +414,12 @@ impl Framebuffer {
 
     /// Counts pixels with exactly the given value (test helper).
     pub fn count_pixels(&self, p: Pixel) -> usize {
-        self.pixels.iter().filter(|&&v| v == p).count()
+        let mut n = 0;
+        self.for_each_span(Rect::new(0, 0, self.width, self.height), |s| match s {
+            Span::Solid(k, q) => n += if q == p { k as usize } else { 0 },
+            Span::Pixels(px) => n += px.iter().filter(|&&v| v == p).count(),
+        });
+        n
     }
 
     /// Writes the framebuffer as a binary PPM (P6) image — the
@@ -224,12 +427,13 @@ impl Framebuffer {
     /// paper's figures.
     pub fn write_ppm<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
         writeln!(out, "P6\n{} {}\n255", self.width, self.height)?;
-        let mut bytes = Vec::with_capacity(self.pixels.len() * 3);
-        for p in &self.pixels {
-            bytes.push((p >> 16) as u8);
-            bytes.push((p >> 8) as u8);
-            bytes.push(*p as u8);
-        }
+        let mut bytes = Vec::with_capacity(self.width as usize * self.height as usize * 3);
+        let mut rgb =
+            |p: Pixel| bytes.extend_from_slice(&[(p >> 16) as u8, (p >> 8) as u8, p as u8]);
+        self.for_each_span(Rect::new(0, 0, self.width, self.height), |s| match s {
+            Span::Solid(n, p) => (0..n).for_each(|_| rgb(p)),
+            Span::Pixels(px) => px.iter().for_each(|&p| rgb(p)),
+        });
         out.write_all(&bytes)
     }
 }

@@ -7,19 +7,26 @@
 //! ```text
 //! {"name": …, "hex": <frame as sent in `!display frame`>,
 //!  "rects": [{"x", "y", "w", "h", "encoding", "pixels": <hex of u32 BE>}]}
+//! {"name": …, "hex": …, "reject": <the error the decoder must raise>}
 //! ```
 //!
-//! The frames are a full first frame of a small dashboard session, the
-//! incremental frame after one label changes, and a synthetic frame
-//! with one rect that stays raw and one 32-colour palette-run rect. `scripts/display_decoder_check.js` decodes them with the
-//! browser client's `decodeFrame` and compares the pixels.
+//! The valid frames are a full first frame of a small dashboard
+//! session, the incremental frame after one label changes, and a
+//! synthetic frame with one rect that stays raw and one 32-colour
+//! palette-run rect. The rejected ones are checksum-valid frames whose
+//! palette-run payload breaks one canonical-form rule each; the Rust
+//! decoder's error for each is checked here, before printing.
+//! `scripts/display_decoder_check.js` decodes them all with the browser
+//! client's `decodeFrame`, compares the pixels and requires each
+//! rejection by name.
 //!
 //! Run with `cargo run --example display_frames`.
 
 use wafe::core::{Flavor, WafeSession};
 use wafe::xproto::framebuffer::Framebuffer;
 use wafe::xproto::{Damage, Rect};
-use wafe_display::{to_hex, Frame, PixelData};
+use wafe_display::wire::{DecodeError, Writer};
+use wafe_display::{to_hex, Frame, PixelData, FRAME_MAGIC, PROTOCOL_VERSION};
 
 /// Builds the pending frame of the session's display.
 fn pump(s: &WafeSession) -> Frame {
@@ -63,6 +70,82 @@ fn print_frame(name: &str, frame: &Frame) {
     );
 }
 
+/// Prints a checksum-valid frame with one 4×1 palette-run rect whose
+/// payload `payload` writes, after checking the Rust decoder rejects it
+/// as `reject`.
+fn print_rejected(name: &str, reject: &'static str, payload: impl FnOnce(&mut Writer)) {
+    let mut w = Writer::new();
+    w.put_bytes(&FRAME_MAGIC);
+    w.put_u32(PROTOCOL_VERSION);
+    w.put_u64(1);
+    w.put_u32(16);
+    w.put_u32(16);
+    w.put_u8(0);
+    w.put_u32(1);
+    w.put_i32(0);
+    w.put_i32(0);
+    w.put_u32(4);
+    w.put_u32(1);
+    w.put_u8(1);
+    payload(&mut w);
+    let bytes = w.finish();
+    assert_eq!(
+        Frame::decode(&bytes).map(|_| ()),
+        Err(DecodeError::BadValue(reject)),
+        "{name}"
+    );
+    println!(
+        "{{\"name\": \"{name}\", \"hex\": \"{}\", \"reject\": \"{reject}\"}}",
+        to_hex(&bytes)
+    );
+}
+
+/// A palette followed by `(count, index)` runs, as the encoder lays
+/// them out but from values it would never choose.
+fn palette_runs(w: &mut Writer, palette: &[u32], runs: &[(u64, u64)]) {
+    let bits = usize::BITS - palette.len().saturating_sub(1).leading_zeros();
+    w.put_varint(palette.len() as u64);
+    for &c in palette {
+        w.put_u32(c);
+    }
+    w.put_varint(runs.len() as u64);
+    for &(n, i) in runs {
+        w.put_varint(((n - 1) << bits) | i);
+    }
+}
+
+/// One frame per canonical-form rule the decoders enforce.
+fn print_non_canonical() {
+    let (a, b, c) = (0x111111, 0x222222, 0x333333);
+    print_rejected("duplicate entry", "duplicate palette entry", |w| {
+        palette_runs(w, &[a, a], &[(2, 0), (2, 1)])
+    });
+    print_rejected("palette order", "palette order", |w| {
+        palette_runs(w, &[a, b], &[(2, 1), (2, 0)])
+    });
+    print_rejected("unused entry", "unused palette entry", |w| {
+        palette_runs(w, &[a, b], &[(4, 0)])
+    });
+    print_rejected("index past palette", "palette index", |w| {
+        palette_runs(w, &[a, b, c], &[(1, 0), (1, 1), (1, 2), (1, 3)])
+    });
+    print_rejected("overlong varint", "overlong varint", |w| {
+        // npal = 1 with a redundant zero group.
+        w.put_u8(0x81);
+        w.put_u8(0x00);
+        w.put_u32(a);
+        // One run of all 4 pixels: code (4 - 1) << 0 | 0.
+        w.put_varint(1);
+        w.put_varint(3);
+    });
+    print_rejected("run past area", "run past area", |w| {
+        palette_runs(w, &[a], &[(5, 0)])
+    });
+    print_rejected("coverage shortfall", "run coverage", |w| {
+        palette_runs(w, &[a], &[(3, 0)])
+    });
+}
+
 fn main() {
     let mut s = WafeSession::new(Flavor::Athena);
     s.eval("form grid topLevel").unwrap();
@@ -101,4 +184,6 @@ fn main() {
     assert!(matches!(mixed.rects[0].data, PixelData::Raw(_)));
     assert!(matches!(mixed.rects[1].data, PixelData::Rle(_)));
     print_frame("mixed", &mixed);
+
+    print_non_canonical();
 }

@@ -7,7 +7,9 @@
 // a DOM stubbed for its top level to load, then feeds every frame the
 // example printed through that script's `decodeFrame` and requires the
 // decoded geometry and pixels to equal what the Rust side expanded.
-// It also requires every truncation of each frame to be rejected.
+// It also requires every truncation of each frame to be rejected, and
+// each checksum-valid non-canonical frame (tagged "reject") to fail
+// with exactly the error the Rust decoder raises for it.
 'use strict';
 const fs = require('fs');
 const vm = require('vm');
@@ -35,12 +37,25 @@ function hex32(pixels) {
   return s;
 }
 
+// One frame per canonical-form rule; each must be in the input.
+const rules = ['duplicate palette entry', 'palette order', 'unused palette entry',
+  'palette index', 'overlong varint', 'run past area', 'run coverage'];
+const rejected = new Set();
 const encodings = new Set();
 let frames = 0;
 for (const line of fs.readFileSync(framesPath, 'utf8').split('\n')) {
   if (!line) continue;
   const want = JSON.parse(line);
   const bytes = fromHex(want.hex);
+  if (want.reject) {
+    let err = null;
+    try { decodeFrame(bytes); } catch (e) { err = e.message; }
+    if (err !== want.reject)
+      throw new Error(`${want.name}: ${err === null ? 'decoded' : `rejected as "${err}"`}, want "${want.reject}"`);
+    rejected.add(err);
+    console.log(`  ${want.name}: rejected as "${err}" ok`);
+    continue;
+  }
   const got = decodeFrame(bytes);
   if (got.rects.length !== want.rects.length)
     throw new Error(`${want.name}: ${got.rects.length} rects, want ${want.rects.length}`);
@@ -64,4 +79,7 @@ for (const line of fs.readFileSync(framesPath, 'utf8').split('\n')) {
 if (frames < 2) throw new Error(`only ${frames} frame(s) checked`);
 for (const e of [0, 1]) {
   if (!encodings.has(e)) throw new Error(`no rect used pixel encoding ${e}`);
+}
+for (const r of rules) {
+  if (!rejected.has(r)) throw new Error(`no non-canonical frame checked "${r}"`);
 }
