@@ -124,30 +124,9 @@ impl PaletteRuns {
     ///
     /// On a zero count, which the encoding cannot express.
     pub fn from_runs(runs: impl IntoIterator<Item = (u32, Pixel)>) -> PaletteRuns {
-        let mut palette: Vec<Pixel> = Vec::new();
-        let mut index: HashMap<Pixel, u32> = HashMap::new();
-        let runs: Vec<(u32, u32)> = runs
-            .into_iter()
-            .map(|(n, p)| {
-                assert!(n > 0, "a run covers at least one pixel");
-                // Most rects hold a handful of colours, and scanning
-                // that few beats hashing; `index` takes over past it.
-                let found = if palette.len() <= 8 {
-                    palette.iter().position(|&c| c == p).map(|i| i as u32)
-                } else {
-                    index.get(&p).copied()
-                };
-                let i = found.unwrap_or_else(|| {
-                    let next = palette.len() as u32;
-                    palette.push(p);
-                    index.insert(p, next);
-                    next
-                });
-                (n, i)
-            })
-            .collect();
-        let len = payload_len(&palette, &runs);
-        PaletteRuns { palette, runs, len }
+        let mut b = RunsBuilder::default();
+        runs.into_iter().for_each(|(n, p)| b.push(n, p));
+        b.finish()
     }
 
     /// The distinct colours, in first-use order.
@@ -235,6 +214,36 @@ fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
+/// Builds a [`PaletteRuns`] one `(count, pixel)` run at a time, with
+/// the palette in first-use order.
+#[derive(Default)]
+struct RunsBuilder {
+    palette: Vec<Pixel>,
+    index: HashMap<Pixel, u32>,
+    runs: Vec<(u32, u32)>,
+}
+
+impl RunsBuilder {
+    fn push(&mut self, n: u32, p: Pixel) {
+        assert!(n > 0, "a run covers at least one pixel");
+        let next = self.palette.len() as u32;
+        let i = *self.index.entry(p).or_insert(next);
+        if i == next {
+            self.palette.push(p);
+        }
+        self.runs.push((n, i));
+    }
+
+    fn finish(self) -> PaletteRuns {
+        let len = payload_len(&self.palette, &self.runs);
+        PaletteRuns {
+            palette: self.palette,
+            runs: self.runs,
+            len,
+        }
+    }
+}
+
 fn payload_len(palette: &[Pixel], runs: &[(u32, u32)]) -> usize {
     let bits = index_bits(palette.len());
     varint_len(palette.len() as u64)
@@ -290,7 +299,9 @@ impl Frame {
         let rects = rects
             .into_iter()
             .map(|rect| {
-                let runs = PaletteRuns::from_runs(fb.runs(rect));
+                let mut b = RunsBuilder::default();
+                fb.runs(rect, |n, p| b.push(n, p));
+                let runs = b.finish();
                 let data = if (runs.len as u64) < 4 * rect.area() {
                     PixelData::Rle(runs)
                 } else {

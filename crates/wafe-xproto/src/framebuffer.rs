@@ -231,25 +231,32 @@ impl Framebuffer {
         out
     }
 
-    /// The maximal row-major `(count, pixel)` runs of a rectangle
-    /// (clipped to the buffer): what `rect_pixels` would return, run-
-    /// length coded without copying it. A solid stretch of a row is one
-    /// step, and runs continue across tiles and rows.
-    pub fn runs(&self, rect: Rect) -> Vec<(u32, Pixel)> {
-        let mut runs: Vec<(u32, Pixel)> = Vec::new();
-        let mut push = |n: u32, p: Pixel| match runs.last_mut() {
-            Some((m, q)) if *q == p => *m += n,
-            _ => runs.push((n, p)),
+    /// Calls `f` on each maximal row-major `(count, pixel)` run of a
+    /// rectangle (clipped to the buffer): what `rect_pixels` would
+    /// return, run-length coded without copying it. A solid stretch of
+    /// a row is one step, and runs continue across tiles and rows.
+    pub fn runs(&self, rect: Rect, mut f: impl FnMut(u32, Pixel)) {
+        let Some(r) = self.clip(rect) else {
+            return;
         };
-        if let Some(r) = self.clip(rect) {
-            self.for_each_span(r, |s| match s {
-                Span::Solid(n, p) => push(n, p),
-                Span::Pixels(px) => px
-                    .chunk_by(|a, b| a == b)
-                    .for_each(|c| push(c.len() as u32, c[0])),
-            });
+        let mut run: Option<(u32, Pixel)> = None;
+        let mut push = |n: u32, p: Pixel| match &mut run {
+            Some((m, q)) if *q == p => *m += n,
+            _ => {
+                if let Some((m, q)) = run.replace((n, p)) {
+                    f(m, q);
+                }
+            }
+        };
+        self.for_each_span(r, |s| match s {
+            Span::Solid(n, p) => push(n, p),
+            Span::Pixels(px) => px
+                .chunk_by(|a, b| a == b)
+                .for_each(|c| push(c.len() as u32, c[0])),
+        });
+        if let Some((m, q)) = run {
+            f(m, q);
         }
-        runs
     }
 
     /// Reads one pixel; out-of-bounds reads return black.

@@ -247,7 +247,9 @@ fn assert_same(rng: &mut Rng, fb: &Framebuffer, m: &Flat) {
             .chunk_by(|a, b| a == b)
             .map(|run| (run.len() as u32, run[0]))
             .collect();
-        assert_eq!(fb.runs(r), runs, "runs {r:?}");
+        let mut got = Vec::new();
+        fb.runs(r, |n, p| got.push((n, p)));
+        assert_eq!(got, runs, "runs {r:?}");
     }
     for p in [0xbebebe, 0xffffff, 0x000000, 0x3366cc, m.px[0]] {
         assert_eq!(fb.count_pixels(p), m.px.iter().filter(|&&v| v == p).count());
